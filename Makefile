@@ -48,78 +48,57 @@ loadtest: build
 
 # Full verification: build, repo lint, the regular test suite, then the
 # fault smoke matrix — every injection site crossed with serial and
-# parallel pools, and the whole matrix run under both tape executors
-# (DIFFTUNE_COMPILE=0 interpreted oracle, =1 compiled plans).  Each
-# cell kills/corrupts a checkpointed training run and requires it to
-# converge (bit-identically, unless the fault was numeric).  One extra
-# cell per executor re-runs the combined fault spec with the graph
-# sanitizer armed: arena poisoning and generation stamps must stay
+# parallel pools.  Each cell kills/corrupts a checkpointed training run
+# and requires it to converge (bit-identically, unless the fault was
+# numeric).  One extra cell re-runs the combined fault spec with the
+# graph sanitizer armed: arena poisoning and generation stamps must stay
 # quiet on correct code even while faults fire.
 FAULT_SPECS = pool.worker@2 grad.nan@2 ckpt.truncate@1 engine.abort@2 \
               collect.pilot_crash@1 "engine.abort@2;grad.nan@3"
 verify: build
 	dune build @lint
 	dune runtest --force
-	@for compile in 0 1; do \
-	  for faults in $(FAULT_SPECS); do \
-	    for domains in 1 4; do \
-	      echo "== compile=$$compile faults=$$faults domains=$$domains =="; \
-	      DIFFTUNE_COMPILE=$$compile DIFFTUNE_FAULTS="$$faults" \
-	        DIFFTUNE_DOMAINS=$$domains \
-	        dune exec test/fault_smoke.exe || exit 1; \
-	    done; \
+	@for faults in $(FAULT_SPECS); do \
+	  for domains in 1 4; do \
+	    echo "== faults=$$faults domains=$$domains =="; \
+	    DIFFTUNE_FAULTS="$$faults" DIFFTUNE_DOMAINS=$$domains \
+	      dune exec test/fault_smoke.exe || exit 1; \
 	  done; \
-	  echo "== compile=$$compile faults=engine.abort@2;grad.nan@3 domains=4 sanitize=1 =="; \
-	  DIFFTUNE_COMPILE=$$compile DIFFTUNE_SANITIZE=1 \
-	    DIFFTUNE_FAULTS="engine.abort@2;grad.nan@3" \
-	    DIFFTUNE_DOMAINS=4 dune exec test/fault_smoke.exe || exit 1; \
 	done
+	@echo "== faults=engine.abort@2;grad.nan@3 domains=4 sanitize=1 =="
+	DIFFTUNE_SANITIZE=1 DIFFTUNE_FAULTS="engine.abort@2;grad.nan@3" \
+	  DIFFTUNE_DOMAINS=4 dune exec test/fault_smoke.exe
 	@# Sampling cells: the complexity-guided collection suite
 	@# (stratifier determinism, allocation floors, pilot kill/resume,
-	@# guided-vs-uniform fidelity) under both tape executors, plus one
-	@# cell with the dynamic race sanitizer armed (guided collect runs
-	@# pilot fits and simcache traffic across domains).
-	@for compile in 0 1; do \
-	  echo "== compile=$$compile sampler =="; \
-	  DIFFTUNE_COMPILE=$$compile dune exec test/test_sampler.exe || exit 1; \
-	done
+	@# guided-vs-uniform fidelity), plus one cell with the dynamic race
+	@# sanitizer armed (guided collect runs pilot fits and simcache
+	@# traffic across domains).
+	@echo "== sampler =="
+	dune exec test/test_sampler.exe
 	@echo "== sampler racecheck=1 =="
-	DIFFTUNE_RACECHECK=1 dune exec test/test_sampler.exe || exit 1
-	@# dt_race cells: the armed race.unlocked_write / race.lock_cycle
-	@# sites must be caught by the dynamic checker under both tape
-	@# executors (the test binary also proves they are MISSED with
-	@# checking off).
-	@for compile in 0 1; do \
-	  echo "== compile=$$compile racecheck=1 =="; \
-	  DIFFTUNE_COMPILE=$$compile DIFFTUNE_RACECHECK=1 \
-	    dune exec test/test_race.exe || exit 1; \
-	done
+	DIFFTUNE_RACECHECK=1 dune exec test/test_sampler.exe
+	@# dt_race cell: the armed race.unlocked_write / race.lock_cycle
+	@# sites must be caught by the dynamic checker (the test binary also
+	@# proves they are MISSED with checking off).
+	@echo "== racecheck=1 =="
+	DIFFTUNE_RACECHECK=1 dune exec test/test_race.exe
 	@# Surrogate-lifecycle cell: the unit suite (drift windows, registry
 	@# corruption, canary rollback, reservoir determinism) and the serving
 	@# smoke (whose lifecycle scenarios arm lifecycle.drift_storm /
-	@# retrain_crash / corrupt_model) under both tape executors.
-	@for compile in 0 1; do \
-	  echo "== compile=$$compile lifecycle =="; \
-	  DIFFTUNE_COMPILE=$$compile dune exec test/test_lifecycle.exe || exit 1; \
-	  DIFFTUNE_COMPILE=$$compile \
-	    dune exec test/serve_smoke.exe -- _build/default/bin/difftune_cli.exe \
-	    || exit 1; \
-	done
+	@# retrain_crash / corrupt_model).
+	@echo "== lifecycle =="
+	dune exec test/test_lifecycle.exe
+	dune exec test/serve_smoke.exe -- _build/default/bin/difftune_cli.exe
 	@# Sharded-fleet cell: the cluster unit suite and the end-to-end
 	@# fleet smoke (shard crash / net partition / slow shard armed via
-	@# fleet-spec shard_faults) under both tape executors, plus one cell
-	@# with the race sanitizer armed inside every shard daemon.
-	@for compile in 0 1; do \
-	  echo "== compile=$$compile fleet =="; \
-	  DIFFTUNE_COMPILE=$$compile dune exec test/test_cluster.exe || exit 1; \
-	  DIFFTUNE_COMPILE=$$compile \
-	    dune exec test/fleet_smoke.exe -- _build/default/bin/difftune_cli.exe \
-	    || exit 1; \
-	done
+	@# fleet-spec shard_faults), plus one cell with the race sanitizer
+	@# armed inside every shard daemon.
+	@echo "== fleet =="
+	dune exec test/test_cluster.exe
+	dune exec test/fleet_smoke.exe -- _build/default/bin/difftune_cli.exe
 	@echo "== fleet racecheck=1 =="
 	DIFFTUNE_RACECHECK=1 \
-	  dune exec test/fleet_smoke.exe -- _build/default/bin/difftune_cli.exe \
-	  || exit 1
+	  dune exec test/fleet_smoke.exe -- _build/default/bin/difftune_cli.exe
 	@echo "== bench guard =="
 	dune exec bench/main.exe -- perf-guard
 	@echo "verify: all fault combinations passed"
@@ -139,11 +118,11 @@ bench-json:
 # the tokenizer (min of three passes, per-key drift thresholds) against
 # the committed BENCH_PR*.json baselines (each key resolved from the
 # newest file that records it), and enforces the absolute bounds
-# recorded there (compiled speedup >= 1.5x, sanitize overhead <= 15%,
-# batch-32 per-sample <= 1.10x batch-8, lifecycle shadow-scoring
-# overhead <= 10%, zero requests shed across a hot-swap, and the PR 9
+# recorded there (lifecycle shadow-scoring overhead <= 10%, zero
+# requests shed across a hot-swap, racecheck overhead <= 15%, the PR 9
 # fleet load-test bounds: zero lost/duplicate, shed <= 1%, the armed
-# shard crash survived, cache locality >= 50%, p99 <= 3 s).
+# shard crash survived, cache locality >= 50%, p99 <= 3 s, and the PR 10
+# samples-to-fidelity bounds).
 bench-guard: build
 	dune exec bench/main.exe -- perf-guard
 

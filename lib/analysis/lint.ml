@@ -138,34 +138,6 @@ let gemv_batch_rule =
     whitelist = [];
   }
 
-(* The compiled executor (PR 6) records a trace once and replays a
-   static plan; network code that issues Ad tape-op constructors from
-   inside a for loop on a per-call path pays the interpreter's per-op
-   allocation and dispatch on every iteration instead.  Loops that
-   build a trace *under* an Ad.with_plan capture are fine — they run
-   once per record — which is exactly what the whitelisted files do. *)
-let tape_op_loop_rule =
-  {
-    name = "tape-op-loop";
-    summary =
-      "Ad tape-op constructor called inside a for loop in network code; \
-       hot paths should record once under Ad.with_plan and replay the \
-       compiled plan instead of re-issuing per-op interpreter calls";
-    in_scope =
-      (fun path -> contains path "lib/nn/" || contains path "lib/surrogate/");
-    whitelist =
-      [
-        ( "lib/nn/nn.ml",
-          "LSTM/MLP step loops build the trace exactly once per capture; \
-           the Model entry points record them under Ad.with_plan and \
-           replay the sealed plan on every later call" );
-        ( "lib/surrogate/model.ml",
-          "trace closures here run inside Ad.with_plan (plan cache keyed \
-           by shape profile), so their loops execute once per record, \
-           not once per prediction" );
-      ];
-  }
-
 (* ---- lock-discipline catalog (dt_race static layer, PR 8) ----
 
    The dynamic half lives in Dt_util.Sync; these tables are the static
@@ -329,7 +301,6 @@ let rules =
     unsafe_index_rule;
     bare_eprintf_rule;
     gemv_batch_rule;
-    tape_op_loop_rule;
     unguarded_mutation_rule;
     lock_no_protect_rule;
     blocking_under_lock_rule;
@@ -675,31 +646,6 @@ let lint_ast ~path ?only ast =
                  "%s inside a for loop runs one row at a time; batch the \
                   rows and call gemm/matmul once per step"
                  fn)
-        | _ -> ());
-        (match txt with
-        | Longident.Ldot (qual, fn) when !for_depth > 0 -> (
-            let is_ad =
-              match qual with
-              | Longident.Lident "Ad"
-              | Longident.Ldot (_, "Ad")
-              | Longident.Lident "Dt_autodiff" ->
-                  true
-              | _ -> false
-            in
-            match fn with
-            | ( "matvec" | "matmul" | "row" | "add" | "mul" | "concat"
-              | "slice" | "sigmoid" | "tanh_" | "relu" | "exp_" | "affine"
-              | "max2" | "div" | "sum_all" | "reduce_max" | "abs_" | "scale"
-              | "mape" | "add_row" | "stack_rows" | "cols" | "concat_cols"
-              | "row_blend" | "mape_batch" | "constant" | "scalar" )
-              when is_ad ->
-                add tape_op_loop_rule loc
-                  (Printf.sprintf
-                     "Ad.%s constructs a tape op on every loop iteration; \
-                      record the trace once under Ad.with_plan and replay \
-                      the compiled plan"
-                     fn)
-            | _ -> ())
         | _ -> ());
         (if !lock_depth > 0 then
            match txt with

@@ -203,87 +203,17 @@ val row_blend : ctx -> mask:float array -> node -> node -> node
 val mape_batch : ctx -> node -> targets:float array -> node
 
 (** [backward ctx loss] seeds the loss adjoint with 1 and runs the tape in
-    reverse, accumulating into every reachable gradient buffer.
-
-    If the context's last forward pass was a compiled-plan replay (see
-    {!with_plan}) and [loss] is that plan's root, the reverse pass runs
-    on the plan's fused schedule instead of the tape — bit-for-bit
-    identical adjoints, one slab memset instead of per-node zeroing. *)
+    reverse, accumulating into every reachable gradient buffer. *)
 val backward : ctx -> node -> unit
 
-(* ---- compiled plans: record once, plan, fuse, replay ----
-
-   The trace a model executes is static across calls with the same
-   shapes (same batch bucket, same block structure), yet the interpreter
-   re-derives it from scratch every time: node and tensor allocation,
-   per-op dispatch, adjoint zeroing, sanitizer checks.  {!with_plan}
-   removes that overhead while keeping the interpreter as the bit-exact
-   oracle:
-
-   - {e record}: the first call(s) under a key run fully interpreted —
-     the tape IS the recording, so record passes cost exactly one
-     interpreted pass and produce exactly its bits.
-   - {e seal}: after [warmup] record passes, the tape is compiled into a
-     plan: every node is mirrored into one exactly-sized value slab
-     (sized for the traced bucket — replay never grows an arena),
-     forward-only plans reuse slots via liveness analysis, adjacent
-     elementwise ops are fused into single passes (the LSTM gate
-     slice+sigmoid/tanh, x+h+bias chains, the f*c + i*g cell update),
-     and whole-graph sanitizer work (flow audit, shape checks) is hoisted
-     to this one pass.
-   - {e replay}: later calls re-run the caller's trace function against
-     a cursor over the sealed plan.  Each op call verifies structure by
-     physical operand identity and rebinds per-call immediates (constant
-     payloads, gather indices, blend masks, MAPE targets), then the
-     plan's kernels execute in one batch.  Forward values, losses, and
-     every parameter gradient are bitwise identical to the interpreted
-     path: replay uses the same kernels in the same order on the same
-     operand data, and fused kernels replicate the unfused accumulation
-     sequences exactly.
-
-   Any structural divergence during replay (different op sequence,
-   shapes, or operands under an unchanged key) silently evicts the plan
-   and falls back to a fresh record pass — cache keys affect performance
-   only, never correctness.  Toggling sanitize or gradient mode likewise
-   invalidates a sealed plan.
-
-   [DIFFTUNE_COMPILE=0] (or {!set_compile}[ false]) forces every
-   {!with_plan} call through the plain interpreter. *)
-
-val set_compile : bool -> unit
-val compile_enabled : unit -> bool
-
-(** A bounded LRU cache of sealed plans.  Like a context, a cache is a
-    single-caller workspace: share it across domains by giving each
-    replica its own (it performs no locking). *)
-type plan_cache
-
-val plan_cache : ?capacity:int -> unit -> plan_cache
-
-(** [with_plan cache ctx ~key ~grad ?warmup f] runs the trace [f ctx]
-    under the compiled executor and returns its root node.  [f] must
-    express its whole computation through this module's ops on [ctx]
-    (the context is reset first; do not call {!reset} or {!backward}
-    inside [f]).  [~grad:false] seals forward-only plans whose nodes
-    carry no usable gradient buffers ({!grad} on them returns a shared
-    dummy) — do not call {!backward} after a forward-only capture.
-    [warmup] (default 1) is the number of interpreted record passes
-    under a key before sealing, so one-off traces never pay the seal
-    cost.  With compilation disabled this is exactly [reset ctx; f ctx]. *)
-val with_plan :
-  plan_cache -> ctx -> key:string -> grad:bool -> ?warmup:int ->
-  (ctx -> node) -> node
-
-(** Process-wide compiled-executor counters (atomic, cheap to read). *)
+(** Counters of a compiled tape executor.  The tape has only the
+    interpreter, so every field of {!plan_stats}[ ()] is always zero; the
+    record stays for callers that report it. *)
 type plan_stats = {
   plans_compiled : int;
   plan_hits : int;
   plan_misses : int;
   plan_evictions : int;
-  plan_replays : int;
-  fused_ops : int;  (** fusion groups across all live compiles *)
-  slab_bytes : int;  (** bytes currently held by sealed plans *)
 }
 
 val plan_stats : unit -> plan_stats
-val reset_plan_stats : unit -> unit

@@ -930,8 +930,6 @@ type theta_replica = {
   gnode : Ad.node;
   smodel : Model.t;
   tctx : Ad.ctx;
-  tplans : Ad.plan_cache;
-      (* per-replica: plan caches, like contexts, are single-caller *)
 }
 
 let table_fp config (spec : Spec.t) ~n ~init ~n_valid =
@@ -980,7 +978,6 @@ let optimize_table ?init ?(valid = [||]) ?checkpoint_dir ?health config
           gnode;
           smodel = replicate model;
           tctx = Ad.new_ctx ();
-          tplans = Ad.plan_cache ~capacity:64 ();
         })
   in
   let opt = Nn.Optimizer.adam theta_store ~lr:config.table_lr in
@@ -1108,53 +1105,42 @@ let optimize_table ?init ?(valid = [||]) ?checkpoint_dir ?health config
         let ctx = r.tctx in
         for step = lo to hi - 1 do
           let block, y = eligible.(sched.(step)) in
-          (* A block recurs across passes and epochs, and its trace is
-             fixed (the theta leaves change values, not structure), so
-             each step replays its block's compiled plan; the theta
-             gradients it accumulates are bitwise those of the
-             interpreted tape. *)
-          let loss =
-            Ad.with_plan r.tplans ctx
-              ~key:("tbl|" ^ spec.name ^ "|" ^ Dt_x86.Block.to_string block)
-              ~grad:true ~warmup:2
-              (fun ctx ->
-                let scale_node v = Ad.constant ctx v in
-                let per_inputs =
-                  Array.map
-                    (fun (instr : Dt_x86.Instruction.t) ->
-                      let row = Ad.row ctx ~m:r.pnode instr.opcode.index in
-                      let row = Ad.abs_ ctx row in
-                      let row =
-                        if spec.per_width = T.size (Ad.value row) then row
-                        else Ad.slice ctx row ~pos:0 ~len:spec.per_width
-                      in
-                      Ad.mul ctx row (scale_node per_scale))
-                    block.instrs
+          Ad.reset ctx;
+          let scale_node v = Ad.constant ctx v in
+          let per_inputs =
+            Array.map
+              (fun (instr : Dt_x86.Instruction.t) ->
+                let row = Ad.row ctx ~m:r.pnode instr.opcode.index in
+                let row = Ad.abs_ ctx row in
+                let row =
+                  if spec.per_width = T.size (Ad.value row) then row
+                  else Ad.slice ctx row ~pos:0 ~len:spec.per_width
                 in
-                let global_input =
-                  if spec.global_width = 0 then None
-                  else
-                    let gview = Ad.row ctx ~m:r.gnode 0 in
-                    let g = Ad.abs_ ctx gview in
-                    Some (Ad.mul ctx g (scale_node global_scale))
-                in
-                let params =
-                  { Model.per_instr = per_inputs; global = global_input }
-                in
-                let features =
-                  if (Model.config r.smodel).feature_width = 0 then None
-                  else
-                    match spec.bounds with
-                    | Some f ->
-                        Some (f ctx block ~per:per_inputs ~global:global_input)
-                    | None -> None
-                in
-                let pred =
-                  Model.predict r.smodel ctx block ~params:(Some params)
-                    ~features
-                in
-                Ad.mape ctx pred ~target:(Float.max y 1e-3))
+                Ad.mul ctx row (scale_node per_scale))
+              block.instrs
           in
+          let global_input =
+            if spec.global_width = 0 then None
+            else
+              let gview = Ad.row ctx ~m:r.gnode 0 in
+              let g = Ad.abs_ ctx gview in
+              Some (Ad.mul ctx g (scale_node global_scale))
+          in
+          let params =
+            { Model.per_instr = per_inputs; global = global_input }
+          in
+          let features =
+            if (Model.config r.smodel).feature_width = 0 then None
+            else
+              match spec.bounds with
+              | Some f ->
+                  Some (f ctx block ~per:per_inputs ~global:global_input)
+              | None -> None
+          in
+          let pred =
+            Model.predict r.smodel ctx block ~params:(Some params) ~features
+          in
+          let loss = Ad.mape ctx pred ~target:(Float.max y 1e-3) in
           Ad.backward ctx loss;
           losses.(step) <- Ad.scalar_value loss
         done
@@ -1469,21 +1455,17 @@ let fit_ithemal ?(sampling = Uniform) config ~features rng model eligible =
   in
   let in_batch = ref 0 in
   let ctx = Ad.new_ctx () in
-  let plans = Ad.plan_cache ~capacity:64 () in
   let block_loss = Array.make (max n 1) 0.0 in
   let do_step step bi =
     let block, y = eligible.(bi) in
     let bstr = Dt_x86.Block.to_string block in
-    let loss =
-      Ad.with_plan plans ctx ~key:("ith|" ^ bstr) ~grad:true ~warmup:2
-        (fun ctx ->
-          let features =
-            if (Model.config model).feature_width = 0 then None
-            else Some (Ad.constant ctx (T.vector (Hashtbl.find feats bstr)))
-          in
-          let pred = Model.predict model ctx block ~params:None ~features in
-          Ad.mape ctx pred ~target:(Float.max y 1e-3))
+    Ad.reset ctx;
+    let features =
+      if (Model.config model).feature_width = 0 then None
+      else Some (Ad.constant ctx (T.vector (Hashtbl.find feats bstr)))
     in
+    let pred = Model.predict model ctx block ~params:None ~features in
+    let loss = Ad.mape ctx pred ~target:(Float.max y 1e-3) in
     Ad.backward ctx loss;
     block_loss.(bi) <- Ad.scalar_value loss;
     incr in_batch;

@@ -194,7 +194,7 @@ val train_ithemal :
     retraining for the serving lifecycle: fine-tunes a {e clone} of
     [init] (never [init] itself, which may be live in a degradation
     chain) on freshly collected traffic, reusing the same fitting loop
-    (and compiled-plan replay) as {!train_ithemal}.  [train] is
+    as {!train_ithemal}.  [train] is
     typically the lifecycle's shadow-score reservoir — (block,
     reference-simulator timing) pairs harvested from live requests, the
     Turaco-style reuse of traffic as training data.  The optimization

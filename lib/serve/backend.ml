@@ -98,21 +98,7 @@ let surrogate ~features model =
       Some
         (fun ~cycle_budget:_ blocks ->
           Dt_difftune.Engine.ithemal_predict_batch ~features model blocks);
-    xstats =
-      (* Compiled-executor counters, the serving analogue of the mca
-         backend's simcache numbers: how often predictions replayed a
-         sealed plan vs paid an interpreted record pass. *)
-      Some
-        (fun () ->
-          let s = Dt_autodiff.Ad.plan_stats () in
-          [
-            ("plans_compiled", string_of_int s.Dt_autodiff.Ad.plans_compiled);
-            ("plan_hits", string_of_int s.Dt_autodiff.Ad.plan_hits);
-            ("plan_misses", string_of_int s.Dt_autodiff.Ad.plan_misses);
-            ("plan_replays", string_of_int s.Dt_autodiff.Ad.plan_replays);
-            ("fused_ops", string_of_int s.Dt_autodiff.Ad.fused_ops);
-            ("slab_bytes", string_of_int s.Dt_autodiff.Ad.slab_bytes);
-          ]);
+    xstats = None;
   }
 
 let custom ?batch ?xstats name predict =

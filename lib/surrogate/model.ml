@@ -41,7 +41,6 @@ type t = {
   head1 : Nn.Linear.t;
   head2 : Nn.Linear.t option;
   scratch : Ad.ctx;  (** workspace for gradient-free {!predict_value} calls *)
-  pcache : Ad.plan_cache;  (** compiled plans, one per trace signature *)
 }
 
 let create ?(config = default_config) rng =
@@ -83,7 +82,6 @@ let create ?(config = default_config) rng =
     head1;
     head2;
     scratch = Ad.new_ctx ();
-    pcache = Ad.plan_cache ~capacity:64 ();
   }
 
 let config t = t.cfg
@@ -342,101 +340,37 @@ let forward_batch t ctx (samples : batch_sample array) =
     (group_by_key sample_entries);
   Ad.stack_rows ctx pred_src
 
-(* ---- compiled capture ----
-
-   The three entry points below wrap their traces in {!Ad.with_plan}:
-   the first couple of calls per signature run interpreted (and record),
-   later calls replay the sealed plan.  Capturing at the model level
-   subsumes the LSTM layers — their ops are recorded as part of the
-   enclosing trace, so `lib/nn` needs no plan awareness of its own.
-
-   Keys are exact — the block texts pin the tokenization and bucket
-   structure — while everything per-call (parameter values, features,
-   targets, gather indices, pad masks) rebinds during replay.  A key
-   collision or structural drift only costs a re-record; it can never
-   corrupt results. *)
-
-(* The batched trace's structure depends only on the batch's {e shape
-   profile}: per-sample instruction counts and per-instruction token
-   counts (they fix the bucket grouping, padding masks, and every op
-   shape), never on token identities or parameter values — embedding
-   lookups are [stack_rows] gathers whose indices rebind at replay.
-   Keying on the profile lets one plan serve every minibatch with the
-   same shape, which is what makes replay pay off under shuffled
-   training schedules. *)
-let batch_key t prefix (samples : batch_sample array) =
-  let b = Buffer.create 256 in
-  Buffer.add_string b prefix;
-  Buffer.add_string b (if t.cfg.with_params then "|p" else "|n");
-  Buffer.add_string b (if t.cfg.feature_width > 0 then "f|" else "-|");
-  Array.iter
-    (fun s ->
-      Array.iter
-        (fun instr ->
-          Buffer.add_string b
-            (string_of_int (List.length (Tokenizer.tokens instr)));
-          Buffer.add_char b ',')
-        s.bblock.instrs;
-      Buffer.add_char b ';')
-    samples;
-  Buffer.contents b
+(* ---- entry points: each rewinds its context first ---- *)
 
 let train_batch t ctx (samples : batch_sample array) ~targets =
   let nb = Array.length samples in
   if Array.length targets <> nb then
     invalid_arg "Model.train_batch: targets length mismatch";
-  let per_sample = ref None in
-  let loss =
-    Ad.with_plan t.pcache ctx ~key:(batch_key t "train" samples) ~grad:true
-      ~warmup:2 (fun ctx ->
-        let pred = forward_batch t ctx samples in
-        let ps = Ad.mape_batch ctx pred ~targets in
-        per_sample := Some ps;
-        Ad.sum_all ctx ps)
-  in
-  Ad.backward ctx loss;
-  let v = Ad.value (Option.get !per_sample) in
+  Ad.reset ctx;
+  let ps = Ad.mape_batch ctx (forward_batch t ctx samples) ~targets in
+  Ad.backward ctx (Ad.sum_all ctx ps);
+  let v = Ad.value ps in
   Array.init nb (fun i -> T.get v i 0)
 
 let predict_batch_value t (samples : batch_sample array) =
   let ctx = t.scratch in
-  let pred =
-    Ad.with_plan t.pcache ctx ~key:(batch_key t "fwd" samples) ~grad:false
-      ~warmup:2 (fun ctx -> forward_batch t ctx samples)
-  in
-  let v = Ad.value pred in
+  Ad.reset ctx;
+  let v = Ad.value (forward_batch t ctx samples) in
   Array.init (Array.length samples) (fun i -> T.get v i 0)
 
 let predict_value t (block : Dt_x86.Block.t) ~params ?features () =
   let ctx = t.scratch in
-  let key =
-    Printf.sprintf "seq|%s|%s|%s"
-      (match params with
-      | None -> "-"
-      | Some (per, glob) ->
-          Printf.sprintf "p%d.%d" (Array.length per) (Array.length glob))
-      (match features with
-      | None -> "-"
-      | Some f -> string_of_int (Array.length f))
-      (Dt_x86.Block.to_string block)
+  Ad.reset ctx;
+  let params =
+    Option.map
+      (fun (per, glob) ->
+        {
+          per_instr = Array.map (fun v -> Ad.constant ctx (T.vector v)) per;
+          global =
+            (if Array.length glob = 0 then None
+             else Some (Ad.constant ctx (T.vector glob)));
+        })
+      params
   in
-  let pred =
-    Ad.with_plan t.pcache ctx ~key ~grad:false ~warmup:2 (fun ctx ->
-        let params =
-          Option.map
-            (fun (per, glob) ->
-              {
-                per_instr =
-                  Array.map (fun v -> Ad.constant ctx (T.vector v)) per;
-                global =
-                  (if Array.length glob = 0 then None
-                   else Some (Ad.constant ctx (T.vector glob)));
-              })
-            params
-        in
-        let features =
-          Option.map (fun f -> Ad.constant ctx (T.vector f)) features
-        in
-        predict t ctx block ~params ~features)
-  in
-  Ad.scalar_value pred
+  let features = Option.map (fun f -> Ad.constant ctx (T.vector f)) features in
+  Ad.scalar_value (predict t ctx block ~params ~features)

@@ -24,10 +24,7 @@
    the tests check against.
 
    The per-sequence gemv family in tensor.ml stays pure OCaml and
-   serves as the oracle for all of this.  (PR 6 adds C twins of that
-   family too -- gemv_fast/gemv_t_fast/ger_fast in gemm_stubs.c, same
-   contract -- but they are called only by the compiled plan executor;
-   the interpreted tape keeps the OCaml kernels.)
+   serves as the oracle for all of this.
 
    The destination must not alias either source. *)
 

@@ -193,148 +193,10 @@ CAMLprim value caml_dt_gemm_nt_bc(value *argv, int argn)
                          argv[11], argv[12], argv[13]);
 }
 
-/* ---- per-sequence gemv family, compiled-plan fast path ----
- *
- * Same bit-compatibility contract as the gemm kernels above: each
- * output element performs exactly the reduction the pure-OCaml
- * reference in tensor.ml performs.  The interpreted tape keeps calling
- * the OCaml bodies (they are the readable reference and the oracle the
- * plan tests compare against); the compiled plan executor in
- * lib/autodiff calls these.
- */
-
-/* y <- m x + beta y, Tensor.gemv's exact order: per row, four
- * independent accumulators over ascending column blocks of 4, trailing
- * singles into the first, final tree (s0 + s1) + (s2 + s3), beta = 0
- * overwriting without reading y. */
-CAMLprim value caml_dt_gemv(value vm, value vmo, value vmrs, value vrows,
-                            value vcols, value vx, value vxo, value vy,
-                            value vyo, value vbeta)
-{
-  const double *m = (const double *)Caml_ba_data_val(vm);
-  const double *x = (const double *)Caml_ba_data_val(vx);
-  double *y = (double *)Caml_ba_data_val(vy);
-  long mo = Long_val(vmo), mrs = Long_val(vmrs);
-  long rows = Long_val(vrows), cols = Long_val(vcols);
-  long xo = Long_val(vxo), yo = Long_val(vyo);
-  double beta = Double_val(vbeta);
-  long i, j;
-
-  for (i = 0; i < rows; i++) {
-    const double *restrict mr = m + mo + i * mrs;
-    const double *restrict xr = x + xo;
-    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-    double acc;
-    for (j = 0; j + 4 <= cols; j += 4) {
-      s0 += mr[j] * xr[j];
-      s1 += mr[j + 1] * xr[j + 1];
-      s2 += mr[j + 2] * xr[j + 2];
-      s3 += mr[j + 3] * xr[j + 3];
-    }
-    for (; j < cols; j++)
-      s0 += mr[j] * xr[j];
-    acc = (s0 + s1) + (s2 + s3);
-    y[yo + i] = beta == 0.0 ? acc : acc + beta * y[yo + i];
-  }
-  return Val_unit;
-}
-
-CAMLprim value caml_dt_gemv_bc(value *argv, int argn)
-{
-  (void)argn;
-  return caml_dt_gemv(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5],
-                      argv[6], argv[7], argv[8], argv[9]);
-}
-
-/* y <- m^T x + beta y, Tensor.gemv_t's exact order: beta pre-pass
- * (zero-fill without reading when beta = 0, scale when beta != 1),
- * then y[j] += sum_i x[i] m[i][j] in ascending four-row blocks with
- * the all-zero-block / zero-single skip rule -- which is precisely
- * acc_chunk with coefficient stride 1. */
-CAMLprim value caml_dt_gemv_t(value vm, value vmo, value vmrs, value vrows,
-                              value vcols, value vx, value vxo, value vy,
-                              value vyo, value vbeta)
-{
-  const double *m = (const double *)Caml_ba_data_val(vm);
-  const double *x = (const double *)Caml_ba_data_val(vx);
-  double *y = (double *)Caml_ba_data_val(vy);
-  long mo = Long_val(vmo), mrs = Long_val(vmrs);
-  long rows = Long_val(vrows), cols = Long_val(vcols);
-  long xo = Long_val(vxo), yo = Long_val(vyo);
-  double beta = Double_val(vbeta);
-  long j, jb, nW = cols - (cols % W);
-
-  if (beta == 0.0)
-    for (j = 0; j < cols; j++)
-      y[yo + j] = 0.0;
-  else if (beta != 1.0)
-    for (j = 0; j < cols; j++)
-      y[yo + j] = beta * y[yo + j];
-  for (jb = 0; jb < nW; jb += W)
-    acc_chunk(y + yo + jb, x + xo, 1, m, mo + jb, mrs, rows, W);
-  if (nW < cols)
-    acc_chunk(y + yo + nW, x + xo, 1, m, mo + nW, mrs, rows, cols - nW);
-  return Val_unit;
-}
-
-CAMLprim value caml_dt_gemv_t_bc(value *argv, int argn)
-{
-  (void)argn;
-  return caml_dt_gemv_t(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5],
-                        argv[6], argv[7], argv[8], argv[9]);
-}
-
-/* m <- m + x y^T, Tensor.ger's exact order: two rows per pass with the
- * pair zero-skip, then one optional trailing row.  The j loop spans
- * independent output elements, so it vectorizes without reordering any
- * element's accumulation. */
-CAMLprim value caml_dt_ger(value vm, value vmo, value vmrs, value vrows,
-                           value vcols, value vx, value vxo, value vy,
-                           value vyo)
-{
-  double *m = (double *)Caml_ba_data_val(vm);
-  const double *x = (const double *)Caml_ba_data_val(vx);
-  const double *y = (const double *)Caml_ba_data_val(vy);
-  long mo = Long_val(vmo), mrs = Long_val(vmrs);
-  long rows = Long_val(vrows), cols = Long_val(vcols);
-  long xo = Long_val(vxo), yo = Long_val(vyo);
-  const double *restrict yr = y + yo;
-  long i, j;
-
-  for (i = 0; i + 2 <= rows; i += 2) {
-    double x0 = x[xo + i], x1 = x[xo + i + 1];
-    if (x0 != 0.0 || x1 != 0.0) {
-      double *restrict m0 = m + mo + i * mrs;
-      double *restrict m1 = m0 + mrs;
-      for (j = 0; j < cols; j++) {
-        double yj = yr[j];
-        m0[j] += x0 * yj;
-        m1[j] += x1 * yj;
-      }
-    }
-  }
-  if (i < rows) {
-    double xi = x[xo + i];
-    if (xi != 0.0) {
-      double *restrict mr = m + mo + i * mrs;
-      for (j = 0; j < cols; j++)
-        mr[j] += xi * yr[j];
-    }
-  }
-  return Val_unit;
-}
-
-CAMLprim value caml_dt_ger_bc(value *argv, int argn)
-{
-  (void)argn;
-  return caml_dt_ger(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5],
-                     argv[6], argv[7], argv[8]);
-}
-
 /* ---- sanitizer poison fill / scan ----
  *
- * Exact bit-pattern operations (no FP compares involved), shared by
- * both executors' sanitize mode.  The pattern must match
+ * Exact bit-pattern operations (no FP compares involved) for the
+ * autodiff tape's sanitize mode.  The pattern must match
  * Tensor.poison_bits. */
 
 #include <stdint.h>

@@ -340,48 +340,6 @@ let ger_seq ~m ~xs ~ys =
     end
   end
 
-(* ---- compiled-plan fast path ----
-
-   C implementations of the gemv family (gemm_stubs.c, compiled with
-   auto-vectorization on but contraction and reassociation off) that
-   perform bit-for-bit the same reduction as the OCaml bodies above.
-   ocamlopt emits scalar float code only; the C kernels vectorize
-   across independent output elements, which cannot change any single
-   element's result.  The interpreted autodiff tape keeps calling the
-   OCaml kernels — they are the readable reference, and the oracle the
-   plan equivalence tests compare against — while the compiled plan
-   executor in lib/autodiff calls these. *)
-
-external gemv_stub :
-  buf -> int -> int -> int -> int -> buf -> int -> buf -> int -> float -> unit
-  = "caml_dt_gemv_bc" "caml_dt_gemv"
-[@@noalloc]
-
-external gemv_t_stub :
-  buf -> int -> int -> int -> int -> buf -> int -> buf -> int -> float -> unit
-  = "caml_dt_gemv_t_bc" "caml_dt_gemv_t"
-[@@noalloc]
-
-external ger_stub :
-  buf -> int -> int -> int -> int -> buf -> int -> buf -> int -> unit
-  = "caml_dt_ger_bc" "caml_dt_ger"
-[@@noalloc]
-
-let gemv_fast ~m ~x ~y ~beta =
-  check_vec "gemv" x m.cols;
-  check_vec "gemv" y m.rows;
-  gemv_stub m.data m.off m.rs m.rows m.cols x.data x.off y.data y.off beta
-
-let gemv_t_fast ~m ~x ~y ~beta =
-  check_vec "gemv_t" x m.rows;
-  check_vec "gemv_t" y m.cols;
-  gemv_t_stub m.data m.off m.rs m.rows m.cols x.data x.off y.data y.off beta
-
-let ger_fast ~m ~x ~y =
-  check_vec "ger" x m.rows;
-  check_vec "ger" y m.cols;
-  ger_stub m.data m.off m.rs m.rows m.cols x.data x.off y.data y.off
-
 let axpy ~alpha ~x ~y =
   if not (same_shape x y) then invalid_arg "Tensor.axpy: shape mismatch";
   let xd = x.data and yd = y.data in

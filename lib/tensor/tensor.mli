@@ -111,18 +111,6 @@ val ger : m:t -> x:t -> y:t -> unit
     memory traffic paid once instead of once per update. *)
 val ger_seq : m:t -> xs:t array -> ys:t array -> unit
 
-(** Bitwise-identical C implementations of {!gemv} / {!gemv_t} /
-    {!ger}, used by the compiled plan executor in [lib/autodiff].  Each
-    output element performs exactly the reduction of the OCaml
-    reference (same products, same tree shape, same zero-skip rule);
-    the C build vectorizes only across independent output elements and
-    disables contraction, so no result bit differs.  The interpreted
-    tape keeps the OCaml kernels as the oracle. *)
-val gemv_fast : m:t -> x:t -> y:t -> beta:float -> unit
-
-val gemv_t_fast : m:t -> x:t -> y:t -> beta:float -> unit
-val ger_fast : m:t -> x:t -> y:t -> unit
-
 (** [axpy ~alpha ~x ~y] computes [y <- alpha * x + y]. *)
 val axpy : alpha:float -> x:t -> y:t -> unit
 

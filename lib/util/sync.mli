@@ -91,7 +91,7 @@ type owner
 
 val owner : string -> owner
 (** Declares a structure meant to be touched by one domain at a time
-    (drain-thread state, a per-model plan cache). *)
+    (e.g. the lifecycle's drain-thread state). *)
 
 val with_owner : owner -> site:string -> (unit -> 'a) -> 'a
 (** Runs [f] stamped as the current owner; raises {!Race} if another

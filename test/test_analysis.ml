@@ -290,41 +290,14 @@ let test_lint_eprintf () =
 
 let test_lint_gemv_loop () =
   let findings, _ = lint_fixture ~path:"lib/nn/batched.ml" "gemv_loop.ml" in
-  (* Ad.matvec in a loop trips both the batching rule and (since PR 6)
-     the tape-op-loop rule — the two point at different fixes. *)
   check_findings "gemv-batch-loop" findings
-    [
-      ("gemv-batch-loop", 6); ("tape-op-loop", 6); ("gemv-batch-loop", 11);
-    ];
+    [ ("gemv-batch-loop", 6); ("gemv-batch-loop", 11) ];
   (* Outside the batched network code the per-row pattern is fine (the
      per-sequence oracle path is built from it on purpose). *)
   let findings, suppressed =
     lint_fixture ~path:"lib/difftune/engine.ml" "gemv_loop.ml"
   in
   check_findings "gemv-batch-loop out of scope" findings [];
-  Alcotest.(check int) "not merely suppressed" 0 suppressed
-
-let test_lint_tape_op_loop () =
-  (* In network code outside the whitelist, Ad ops inside a for loop are
-     flagged; the straight-line constructor on line 2 is not. *)
-  let findings, _ =
-    lint_fixture ~path:"lib/surrogate/features.ml" "tape_op_loop.ml"
-  in
-  check_findings "tape-op-loop" findings
-    [ ("tape-op-loop", 6); ("tape-op-loop", 7) ];
-  (* The capture sites themselves are whitelisted: their loops record a
-     trace once per plan, and the suppression is counted. *)
-  let findings, suppressed =
-    lint_fixture ~path:"lib/surrogate/model.ml" "tape_op_loop.ml"
-  in
-  check_findings "capture site whitelisted" findings [];
-  Alcotest.(check int) "suppressions counted" 2 suppressed;
-  (* Outside lib/nn and lib/surrogate the rule does not apply (the
-     engine's shard tasks trace through Model, which owns the plans). *)
-  let findings, suppressed =
-    lint_fixture ~path:"lib/difftune/engine.ml" "tape_op_loop.ml"
-  in
-  check_findings "tape-op-loop out of scope" findings [];
   Alcotest.(check int) "not merely suppressed" 0 suppressed
 
 let test_lint_clean () =
@@ -376,8 +349,6 @@ let () =
           Alcotest.test_case "bare-eprintf golden" `Quick test_lint_eprintf;
           Alcotest.test_case "gemv-batch-loop golden" `Quick
             test_lint_gemv_loop;
-          Alcotest.test_case "tape-op-loop golden" `Quick
-            test_lint_tape_op_loop;
           Alcotest.test_case "clean fixture" `Quick test_lint_clean;
           Alcotest.test_case "parse error" `Quick test_lint_parse_error;
         ] );

@@ -274,6 +274,28 @@ let test_forward_batch_bits cfg name () =
         (T.get (Ad.value pred) i 0))
     samples
 
+(* The gradient-free batched entry point reuses the model's scratch
+   workspace; every repeated call must return, bit for bit, the rows a
+   fresh identically-seeded model gives one sequence at a time. *)
+let test_predict_batch_bitwise () =
+  let mk () = Model.create ~config:physics_cfg (Rng.create 99) in
+  let batched = mk () and oracle = mk () in
+  let rng = Rng.create 53 in
+  let samples = mk_samples rng physics_cfg 8 in
+  let expect =
+    Array.map
+      (fun (s : Model.batch_sample) ->
+        Model.predict_value oracle s.bblock ~params:s.bparams
+          ?features:s.bfeatures ())
+      samples
+  in
+  for sweep = 1 to 3 do
+    Array.iteri
+      (fun i v ->
+        check_bits (Printf.sprintf "sweep %d row %d" sweep i) expect.(i) v)
+      (Model.predict_batch_value batched samples)
+  done
+
 let grads_of store =
   let out = ref [] in
   Nn.Store.iter store (fun name ~value:_ ~grad ->
@@ -491,6 +513,8 @@ let () =
             (test_forward_batch_bits small_cfg "plain");
           Alcotest.test_case "physics head batch bitwise" `Quick
             (test_forward_batch_bits physics_cfg "physics");
+          Alcotest.test_case "predict_batch bitwise" `Quick
+            test_predict_batch_bitwise;
           Alcotest.test_case "train_batch grads = sequential" `Quick
             test_train_batch_grads;
         ] );

@@ -262,7 +262,8 @@ let test_learn_with_validation_gating () =
 
 (* The parallel phases must be bit-identical regardless of how many
    domains execute them: collect uses per-sample RNG streams and the
-   training loops use a fixed shard count with an ordered reduction. *)
+   training loops (surrogate training and the parameter-table descent)
+   use a fixed shard count with an ordered reduction. *)
 let with_domains d f =
   let prev = Sys.getenv_opt "DIFFTUNE_DOMAINS" in
   Unix.putenv "DIFFTUNE_DOMAINS" (string_of_int d);
@@ -293,6 +294,46 @@ let test_domain_determinism () =
     (Printf.sprintf "train loss bit-identical (%.17g vs %.17g)" l1 l3)
     true
     (Float.equal l1 l3)
+
+(* Parameter-table descent (theta gradients through the surrogate per
+   block) must come out bit for bit the same whatever the domain count.
+   The test keeps its older name from when it compared two executors;
+   the table phase now has one, and this compares it across
+   DIFFTUNE_DOMAINS=1 and 3. *)
+let test_table_phase_determinism () =
+  let blocks = Array.map fst tiny_train in
+  let wl_spec = Spec.mca_write_latency Uarch.Haswell in
+  let cfg =
+    {
+      tiny_cfg with
+      Engine.seed = 3;
+      sim_multiplier = 2;
+      surrogate_passes = 0.25;
+      table_passes = 4.0;
+    }
+  in
+  let run domains =
+    with_domains domains (fun () ->
+        let data = Engine.collect cfg wl_spec blocks in
+        let model = Engine.make_model cfg wl_spec (Rng.create 5) in
+        ignore (Engine.train_surrogate cfg wl_spec model data blocks);
+        Engine.optimize_table cfg wl_spec model ~train:tiny_train)
+  in
+  let t1 = run 1 in
+  let t3 = run 3 in
+  let check_bits name a b =
+    if not (Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)) then
+      Alcotest.failf "%s: %h <> %h (bitwise)" name a b
+  in
+  Array.iteri
+    (fun i row ->
+      Array.iteri
+        (fun j v -> check_bits (Printf.sprintf "per %d.%d" i j) v t3.Spec.per.(i).(j))
+        row)
+    t1.Spec.per;
+  Array.iteri
+    (fun j v -> check_bits (Printf.sprintf "global %d" j) v t3.Spec.global.(j))
+    t1.Spec.global
 
 let test_ithemal_smoke () =
   let reference = Spec.mca_table_of_params (Dt_mca.Params.default Uarch.Haswell) in
@@ -330,6 +371,8 @@ let () =
           Alcotest.test_case "collect" `Quick test_collect;
           Alcotest.test_case "domain determinism" `Quick
             test_domain_determinism;
+          Alcotest.test_case "table phase compiled = interp" `Quick
+            test_table_phase_determinism;
           Alcotest.test_case "learn smoke" `Slow test_learn_end_to_end_smoke;
           Alcotest.test_case "validation gating" `Slow
             test_learn_with_validation_gating;
